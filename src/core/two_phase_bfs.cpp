@@ -1,6 +1,7 @@
 #include "core/two_phase_bfs.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <mutex>
@@ -109,6 +110,8 @@ void RunStats::reset() {
   n_threads_effective = 0;
   tune_step_switches = 0;
   bottom_up_probes = 0;
+  race_probes = 0;
+  dup_emissions = 0;
   hw_phase1 = HwPhaseCounters{};
   hw_phase2 = HwPhaseCounters{};
   hw_rearrange = HwPhaseCounters{};
@@ -122,7 +125,8 @@ void RunStats::write_steps_csv(std::ostream& out) const {
          "phase1_imbalance,phase2_imbalance,pbv_bin_skew,"
          "hw_valid,hw_cycles,hw_instructions,hw_llc_loads,"
          "hw_llc_load_misses,hw_dtlb_load_misses,hw_branch_misses,"
-         "hw_stalled_backend,hw_sw_task_clock_ns,hw_sw_page_faults\n";
+         "hw_stalled_backend,hw_sw_task_clock_ns,hw_sw_page_faults,"
+         "race_probes,dup_emissions\n";
   for (const StepStats& s : steps) {
     out << s.step << ','
         << (s.direction == StepDirection::kBottomUp ? "BU" : "TD") << ','
@@ -136,7 +140,8 @@ void RunStats::write_steps_csv(std::ostream& out) const {
         << s.hw.llc_loads << ',' << s.hw.llc_load_misses << ','
         << s.hw.dtlb_load_misses << ',' << s.hw.branch_misses << ','
         << s.hw.stalled_cycles_backend << ',' << s.hw.sw_task_clock_ns
-        << ',' << s.hw.sw_page_faults << '\n';
+        << ',' << s.hw.sw_page_faults << ',' << s.race_probes << ','
+        << s.dup_emissions << '\n';
   }
 }
 
@@ -158,6 +163,8 @@ struct TwoPhaseBfs::ThreadState {
   /// step — the increment feeding the direction heuristic's edge counts.
   std::uint64_t bvn_edges = 0;
   std::uint64_t bu_probes = 0;  // neighbour probes in this step's BU scan
+  std::uint64_t race_probes = 0;    // this step's, see RunStats
+  std::uint64_t dup_emissions = 0;  // this step's, see RunStats
   double rearrange_seconds = 0.0;
   std::vector<std::uint64_t> adj_bytes_by_socket;
 
@@ -174,6 +181,8 @@ struct TwoPhaseBfs::ThreadState {
     edges = 0;
     bvn_edges = 0;
     bu_probes = 0;
+    race_probes = 0;
+    dup_emissions = 0;
     rearrange_seconds = 0.0;
     adj_bytes_by_socket.assign(n_sockets, 0);
   }
@@ -225,6 +234,17 @@ TwoPhaseBfs::TwoPhaseBfs(const AdjacencyArray& adj, const BfsOptions& opts)
     case VisMode::kAuto:
       // Resolved to a concrete mode above.
       break;
+  }
+
+  // Owner tags for the claim dedup, wherever two threads can both pass a
+  // child's claim check in one step: the atomic-free VIS modes and kNone
+  // (plain DP test + store). kAtomicBit's fetch_or admits one winner.
+  if (opts_.n_threads > 1 && opts_.vis_mode != VisMode::kAtomicBit) {
+    if (opts_.n_threads > 0x10000u) {
+      throw std::invalid_argument(
+          "TwoPhaseBfs: at most 65536 worker threads (16-bit claim tags)");
+    }
+    claim_tag_.resize(adj.n_vertices());
   }
 
   if (opts_.direction != DirectionMode::kTopDown) {
@@ -396,7 +416,9 @@ void TwoPhaseBfs::phase2(const ThreadContext& ctx, depth_t step) {
   }
 
   VisArray* vis = vis_.get();
-  std::uint64_t upd_local = 0, upd_remote = 0;
+  std::uint16_t* const tags = claim_tag_.empty() ? nullptr : claim_tag_.data();
+  const auto self = static_cast<std::uint16_t>(ctx.thread_id);
+  std::uint64_t upd_local = 0, upd_remote = 0, lost = 0;
 
   // Reserve BV_N (and the rearrange scratch that mirrors it) to this
   // thread's assigned decode items — one append per item is the hard
@@ -452,6 +474,8 @@ void TwoPhaseBfs::phase2(const ThreadContext& ctx, depth_t step) {
           if (FASTBFS_CHAOS_MUTATION(kSkipDpRecheck) || !dp_.visited(child)) {
             dp_.store(child, step, parent);
             updated = true;
+          } else {
+            ++lost;  // a race_probe: VIS passed, the child was taken
           }
         }
         break;
@@ -459,6 +483,11 @@ void TwoPhaseBfs::phase2(const ThreadContext& ctx, depth_t step) {
     const bool local = adj_.socket_of(child) == ctx.socket_id;
     (local ? upd_local : upd_remote) += bytes;
     if (updated) {
+      // Owner tag for the dedup below: relaxed, so a plain 2-byte mov.
+      if (tags) {
+        std::atomic_ref<std::uint16_t>(tags[child])
+            .store(self, std::memory_order_relaxed);
+      }
       me.bv_n.push_back(child);
       ++me.bvn_counts[bin];
       me.bvn_edges += adj_.degree(child);
@@ -485,6 +514,13 @@ void TwoPhaseBfs::phase2(const ThreadContext& ctx, depth_t step) {
   }
   me.t2u.local_bytes += upd_local;
   me.t2u.remote_bytes += upd_remote;
+  me.race_probes += lost;
+
+  if (tags) {
+    FASTBFS_CHAOS_POINT(kBarrierArrive);
+    pool_.barrier().arrive_and_wait();  // every owner tag is final
+    drop_lost_claims(ctx, me);
+  }
 
   if (opts_.rearrange) {
     FASTBFS_SPAN(kRearrange, step);
@@ -493,6 +529,34 @@ void TwoPhaseBfs::phase2(const ThreadContext& ctx, depth_t step) {
     me.rearrange_seconds += t.seconds();
     me.tr.local_bytes += 24ull * me.bv_n.size();  // Eqn. IV.1d accounting
   }
+}
+
+void TwoPhaseBfs::drop_lost_claims(const ThreadContext& ctx,
+                                   ThreadState& me) {
+  // Every emitter of a child tagged it before the barrier and no one tags
+  // it again this step, so all threads read the same last-written id:
+  // exactly one emitter keeps the child. A thread never emits a child
+  // twice (after its own DP store the child reads as visited), and the
+  // compaction keeps BV_N's bin-grouped order.
+  const auto self = static_cast<std::uint16_t>(ctx.thread_id);
+  std::size_t kept = 0;
+  std::uint64_t dropped_edges = 0;
+  for (const vid_t v : me.bv_n) {
+    if (std::atomic_ref<std::uint16_t>(claim_tag_[v])
+            .load(std::memory_order_relaxed) == self) {
+      me.bv_n[kept++] = v;
+    } else {
+      --me.bvn_counts[bin_of(v)];
+      dropped_edges += adj_.degree(v);
+    }
+  }
+  const std::uint64_t dropped = me.bv_n.size() - kept;
+  me.bv_n.resize(kept);  // shrinking never reallocates
+  me.bvn_edges -= dropped_edges;
+  me.dup_emissions += dropped;
+  // A dropped append also ends a VIS pass without a kept claim; kNone has
+  // no VIS, so its every item's DP probe is charged either way.
+  if (vis_) me.race_probes += dropped;
 }
 
 Range TwoPhaseBfs::bottom_up_range(const ThreadContext& ctx) const {
@@ -586,8 +650,8 @@ void TwoPhaseBfs::bottom_up_step(const ThreadContext& ctx, depth_t step) {
 
 void TwoPhaseBfs::begin_step(depth_t step) {
   // Online tuning first: the just-completed step's StepStats is
-  // steps.back() (its timings were finalized by thread 0 before the
-  // termination barrier), and every other thread is parked between that
+  // steps.back() (thread 0 finalized its timings right after the
+  // end-of-step barrier), and every other thread is parked between that
   // barrier and barrier A, so mutating the latency-hiding knobs here is
   // single-writer and takes effect atomically for the whole next step.
   if (tuner_ && step > 1 && opts_.collect_stats &&
@@ -679,58 +743,23 @@ void TwoPhaseBfs::worker(const ThreadContext& ctx) {
       bottom_up_step(ctx, step);  // internal barriers publish the bitmap
     }
     FASTBFS_CHAOS_POINT(kPhase2Barrier);
-    bar.arrive_and_wait();  // BV_N published
+    // BV_N published. The last thread to arrive runs end_step while the
+    // rest spin, so the shared counters and the next step's Phase-I plan
+    // are ready when the barrier opens and every thread may recycle its
+    // own buffers at once.
+    bar.arrive_and_wait_then([this, dir, step] { end_step(dir, step); });
     if (ctx.thread_id == 0 && opts_.collect_stats) {
-      const double p2_total = timer.seconds();
+      const double p2_total = timer.seconds();  // includes end_step
       const double rearr = me.rearrange_seconds - rearr_before;
       StepStats& cur = run_stats_.steps.back();
       cur.phase1_seconds = p1;
       cur.rearrange_seconds = rearr;
       cur.phase2_seconds = std::max(p2_total - rearr, 0.0);
-      if (dir == StepDirection::kBottomUp) {
-        for (const auto& s : states_) cur.bottom_up_probes += s->bu_probes;
-      }
     }
-
-    // Everyone computes the same termination sum; reads are safe until the
-    // next barrier because no thread mutates before passing it. Thread 0
-    // additionally folds the step's discoveries into the heuristic
-    // counters in the same read-safe window.
-    std::uint64_t next_total = 0;
-    for (const auto& s : states_) next_total += s->bv_n.size();
-    if (ctx.thread_id == 0) {
-      // A bottom-up step "traverses" the consumed frontier's out-edges —
-      // the arcs a top-down step would have scanned — keeping
-      // edges_traversed (and TEPS) comparable across directions; the
-      // probes actually performed are reported separately in RunStats.
-      if (dir == StepDirection::kBottomUp) {
-        bu_consumed_edges_ += frontier_edges_;
-      }
-      std::uint64_t next_edges = 0;
-      for (const auto& s : states_) next_edges += s->bvn_edges;
-      unexplored_edges_ -= std::min(unexplored_edges_, next_edges);
-      frontier_edges_ = next_edges;
-      frontier_vertices_ = next_total;
-      dense_frontier_valid_ = dir == StepDirection::kBottomUp;
-      if (dense_frontier_valid_) std::swap(front_cur_, front_next_);
-    }
-    if (next_total == 0) {
-      // The final step scanned the deepest frontier and found nothing new;
-      // it did real work (Phase-I or a bottom-up sweep), so its StepStats
-      // entry is kept.
-      if (ctx.thread_id == 0) final_step_ = step;
-      return;
-    }
-    // Still in the read-safe window: thread 0 turns the published
-    // bvn_counts into the *next* step's shared Phase-I plan (the swap
-    // below makes them that step's bvc_counts). Skipped when every step is
-    // forced bottom-up; under kAuto a plan for a step that then runs
-    // bottom-up is simply unused.
-    if (ctx.thread_id == 0 && opts_.direction != DirectionMode::kBottomUp) {
-      build_shared_plan(&ThreadState::bvn_counts, plan1_);
-    }
-    FASTBFS_CHAOS_POINT(kBarrierArrive);
-    bar.arrive_and_wait();  // all sums done; mutation may begin
+    // The final step scanned the deepest frontier and found nothing new;
+    // it did real work (Phase-I or a bottom-up sweep), so its StepStats
+    // entry is kept.
+    if (frontier_vertices_ == 0) return;
 
     std::swap(me.bv_c, me.bv_n);
     me.bv_n.clear();
@@ -741,6 +770,49 @@ void TwoPhaseBfs::worker(const ThreadContext& ctx) {
     std::fill(me.pbv_items.begin(), me.pbv_items.end(), 0);
     me.bvn_edges = 0;
     me.bu_probes = 0;
+    me.race_probes = 0;
+    me.dup_emissions = 0;
+  }
+}
+
+void TwoPhaseBfs::end_step(StepDirection dir, depth_t step) {
+  std::uint64_t next_total = 0, next_edges = 0, race = 0, dups = 0,
+                bu_probes = 0;
+  for (const auto& s : states_) {
+    next_total += s->bv_n.size();
+    next_edges += s->bvn_edges;
+    race += s->race_probes;
+    dups += s->dup_emissions;
+    bu_probes += s->bu_probes;
+  }
+  run_stats_.race_probes += race;
+  run_stats_.dup_emissions += dups;
+  if (opts_.collect_stats) {
+    StepStats& cur = run_stats_.steps.back();
+    cur.race_probes = race;
+    cur.dup_emissions = dups;
+    if (dir == StepDirection::kBottomUp) cur.bottom_up_probes = bu_probes;
+  }
+
+  // A bottom-up step "traverses" the consumed frontier's out-edges — the
+  // arcs a top-down step would have scanned — keeping edges_traversed
+  // (and TEPS) comparable across directions; the probes actually
+  // performed are reported separately in RunStats.
+  if (dir == StepDirection::kBottomUp) bu_consumed_edges_ += frontier_edges_;
+  unexplored_edges_ -= std::min(unexplored_edges_, next_edges);
+  frontier_edges_ = next_edges;
+  frontier_vertices_ = next_total;
+  dense_frontier_valid_ = dir == StepDirection::kBottomUp;
+  if (dense_frontier_valid_) std::swap(front_cur_, front_next_);
+
+  if (next_total == 0) {
+    final_step_ = step;
+  } else if (opts_.direction != DirectionMode::kBottomUp) {
+    // The published bvn_counts become the next step's bvc_counts (swap in
+    // worker()), so they are that step's Phase-I plan. Skipped when every
+    // step is forced bottom-up; under kAuto a plan for a step that then
+    // runs bottom-up is simply unused.
+    build_shared_plan(&ThreadState::bvn_counts, plan1_);
   }
 }
 
@@ -754,6 +826,8 @@ void TwoPhaseBfs::prepare_run(vid_t root) {
   //     dense_frontier_valid_ = false below forces that re-zeroing on the
   //     first bottom-up step of a new run;
   //   * plan1_/plan2_/counts_scratch_ — refilled in place per step;
+  //   * claim_tag_ — every emitter writes a child's tag before anyone
+  //     reads it, so the last run's tags are never observed;
   //   * the RunStats steps vector's capacity and the pool's workers.
   // Re-zeroed for every run (each line is one cross-run contamination bug
   // if dropped; tests/test_steady_state.cpp pins them):
@@ -1038,6 +1112,7 @@ std::uint64_t TwoPhaseBfs::workspace_bytes() const {
   if (vis_) total += vis_->storage_bytes();
   if (front_cur_) total += front_cur_->storage_bytes();
   if (front_next_) total += front_next_->storage_bytes();
+  total += claim_tag_.capacity() * sizeof(std::uint16_t);
   const auto plan_bytes = [](const DivisionPlan& p) {
     std::uint64_t b = p.per_socket_items.capacity() * sizeof(std::uint64_t);
     for (const auto& slices : p.per_thread) {

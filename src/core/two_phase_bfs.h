@@ -10,6 +10,9 @@
 //   Phase-II  divide the PBV bins among sockets/threads, decode parent
 //             markers (III-C.6), and perform the atomic-free VIS filter +
 //             DP update of Fig. 2(b), emitting the next frontier;
+//   barrier;  claim dedup: each thread keeps only the BV_N entries whose
+//             per-vertex owner tag it wrote last, so a child that several
+//             threads raced past the VIS/DP check enters BV_N once;
 //   rearrange each thread's next frontier by Adj page bin (III-B3b);
 //   barrier;  sum frontier sizes; swap; repeat until empty.
 //
@@ -110,6 +113,10 @@ struct StepStats {
   std::uint64_t frontier_edges = 0;
   std::uint64_t unexplored_edges = 0;
   std::uint64_t bottom_up_probes = 0;  // neighbour probes (bottom-up only)
+  /// Work counters of the Sec. III-A benign race (top-down steps only; see
+  /// RunStats). Reported, never folded into the logical counts above.
+  std::uint64_t race_probes = 0;
+  std::uint64_t dup_emissions = 0;
   double phase1_seconds = 0.0;
   double phase2_seconds = 0.0;       // bottom-up scan time on BU steps
   double rearrange_seconds = 0.0;
@@ -182,6 +189,20 @@ struct RunStats {
   /// Times an installed StepTuner changed the active StepTuning mid-run.
   unsigned tune_step_switches = 0;
   std::uint64_t bottom_up_probes = 0;
+  /// Work the Sec. III-A benign race cost this run, summed over steps.
+  /// Both vary run to run; every logical count (frontier sizes, binned
+  /// items, edges_traversed, the heuristic inputs) is exact regardless.
+  ///   race_probes    VIS passes (each charged an 8 B DP probe) that did
+  ///                  not end in a kept BV_N entry: a DP re-check that
+  ///                  found the child claimed, or an append the dedup
+  ///                  dropped. 0 under kNone (no VIS) and kAtomicBit.
+  ///   dup_emissions  BV_N appends (4 B each) the claim dedup dropped
+  ///                  because another thread claimed the same child.
+  /// Their bytes stay in traffic.phase2_update, so
+  ///   traffic.total_bytes() - 8 * race_probes - 4 * dup_emissions
+  /// depends only on the BFS levels, not on the schedule.
+  std::uint64_t race_probes = 0;
+  std::uint64_t dup_emissions = 0;
   /// Per-phase hardware-counter deltas for this run (valid only when the
   /// run was traced with obs::perf armed; see HwPhaseCounters). These
   /// measure what the Sec. IV model predicts — LLC misses, instructions —
@@ -262,6 +283,11 @@ class TwoPhaseBfs {
   void worker(const ThreadContext& ctx);
   void phase1(const ThreadContext& ctx, depth_t step);
   void phase2(const ThreadContext& ctx, depth_t step);
+  /// Claim dedup (after the post-emission barrier): drops every BV_N entry
+  /// whose owner tag another thread wrote last and takes back its
+  /// bvn_counts/bvn_edges share, so each claimed child stays in exactly
+  /// one thread's BV_N.
+  void drop_lost_claims(const ThreadContext& ctx, ThreadState& me);
   /// One Beamer-style bottom-up level: scan this thread's aligned slice of
   /// its socket's vertex range, probe unvisited vertices' neighbours
   /// against the dense frontier bitmap, claim parents without atomics
@@ -269,6 +295,11 @@ class TwoPhaseBfs {
   void bottom_up_step(const ThreadContext& ctx, depth_t step);
   /// Decide + record this step's direction (thread 0, between barriers).
   void begin_step(depth_t step);
+  /// Folds every thread's published BV_N into the heuristic counters, the
+  /// run's race counters and (unless the frontier emptied) the next step's
+  /// Phase-I plan. Runs once per step as the completion of the end-of-step
+  /// barrier, so it has every ThreadState to itself.
+  void end_step(StepDirection dir, depth_t step);
 
   /// Resets all per-run state (the reset()-lifecycle audit lives here) and
   /// seeds the root; dp_ must already hold the run's depth/parent buffer.
@@ -276,8 +307,9 @@ class TwoPhaseBfs {
 
   /// Gathers every thread's per-bin counts (`counts` selects which
   /// ThreadState array) into counts_scratch_ and refills `plan` via
-  /// divide_bins_into. Thread 0 only, inside a barrier-protected window;
-  /// allocation-free once warm.
+  /// divide_bins_into. One thread only, inside a barrier-protected window
+  /// (prepare_run or a barrier's completion function); allocation-free
+  /// once warm.
   void build_shared_plan(std::vector<std::uint32_t> ThreadState::* counts,
                          DivisionPlan& plan);
 
@@ -304,6 +336,13 @@ class TwoPhaseBfs {
 
   std::unique_ptr<VisArray> vis_;  // null for VisMode::kNone
   DepthParent dp_;
+  /// Per-vertex owner tag of the claim dedup: every thread that emits a
+  /// child stores its id with a relaxed (plain mov) store; after a barrier
+  /// the last-written id keeps the child. A vertex is emitted in one step
+  /// only, so stale tags from older steps or runs are never read. Empty
+  /// when no two threads can emit the same child (one thread, or the
+  /// fetch_or claim of kAtomicBit), which also skips the dedup barrier.
+  std::vector<std::uint16_t> claim_tag_;
 
   // Direction optimization. The dense frontier bitmaps reuse the VIS
   // bit-array machinery (cache-resident partitions, relaxed byte access);
@@ -316,7 +355,8 @@ class TwoPhaseBfs {
   /// toy graphs) where alignment cannot separate sockets' bitmap bytes;
   /// thread 0 then scans the whole vertex range alone.
   bool bu_serial_ = false;
-  // Incremental heuristic bookkeeping (thread 0 only, barrier-protected).
+  // Incremental heuristic bookkeeping: written by end_step inside the
+  // end-of-step barrier, read by every thread after it.
   std::uint64_t frontier_edges_ = 0;     // m_f: out-edges of BV_C
   std::uint64_t unexplored_edges_ = 0;   // m_u: edges of unvisited vertices
   std::uint64_t frontier_vertices_ = 0;  // n_f: |BV_C|
@@ -326,12 +366,12 @@ class TwoPhaseBfs {
   RunStats run_stats_;
   unsigned final_step_ = 0;  // step at which the frontier emptied
 
-  // Shared per-step division plans (Sec. III-B3a), computed once by
-  // thread 0 and read by all workers, instead of N_T redundant
-  // divide_bins calls per phase per step:
-  //   plan1_  built in the end-of-step read-safe window (from bvn_counts,
-  //           which the swap turns into the next step's bvc_counts), and
-  //           in prepare_run for step 1;
+  // Shared per-step division plans (Sec. III-B3a), computed once and
+  // read by all workers, instead of N_T redundant divide_bins calls per
+  // phase per step:
+  //   plan1_  built by end_step inside the end-of-step barrier (from
+  //           bvn_counts, which the swap turns into the next step's
+  //           bvc_counts), and in prepare_run for step 1;
   //   plan2_  built after the PBV-publication barrier, published to the
   //           other workers through ThreadPool::publish.
   // Both are refilled in place (divide_bins_into) so a warm engine's

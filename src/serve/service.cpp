@@ -187,7 +187,7 @@ void BfsService::execute_plan(unsigned d, const WavePlan& plan) {
   // run and response delivery; every per-query record inside it carries
   // the query's trace id, and the wave id in this span's arg is the
   // linkage that ties up to 64 serve_query lives to one dispatch.
-  const std::uint32_t wave_id =
+  [[maybe_unused]] const std::uint32_t wave_id =
       wave_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   FASTBFS_SPAN(kServeWave, wave_id);
 

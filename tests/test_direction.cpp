@@ -278,9 +278,9 @@ TEST(Direction, AutoMatchesForcedModesOnRmat) {
     ASSERT_EQ(results[0].dp.depth(v), results[2].dp.depth(v)) << v;
   }
   // The consumed-frontier accounting makes the work metric comparable
-  // across directions: forced bottom-up counts exactly the out-edges of
-  // the duplicate-free BFS levels; modes with top-down steps may add a
-  // few benign-race duplicates on top, never fewer.
+  // across directions: every mode counts exactly the out-edges of the
+  // BFS levels (top-down steps drop benign-race duplicates before they
+  // are counted), so none may report fewer than forced bottom-up.
   EXPECT_GE(results[0].edges_traversed, results[1].edges_traversed);
   EXPECT_GE(results[2].edges_traversed, results[1].edges_traversed);
 }

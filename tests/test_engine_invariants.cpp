@@ -57,8 +57,9 @@ TEST(EngineInvariants, PairModeBinsExactlyTheEdges) {
 }
 
 TEST(EngineInvariants, FrontiersSumToVisitedVertices) {
-  // Without benign-race duplicates (single thread), every visited vertex
-  // enters the frontier exactly once.
+  // Every visited vertex enters the frontier exactly once: a single
+  // thread never races itself, and with more threads the claim dedup
+  // drops benign-race duplicates.
   const CsrGraph g = rmat_graph(11, 8, 13);
   const AdjacencyArray adj(g, 1);
   BfsOptions o;

@@ -1,8 +1,8 @@
 // RunStats reporting surface (core/two_phase_bfs.h): the per-step CSV's
 // header/row shape (including the pbv_bin_skew column added with the
 // observability layer and the hw_* hardware-counter columns added with
-// the perf subsystem), direction letters and the bottom-up probe column,
-// and reset() keeping the steps vector's capacity — the warm-engine
+// the perf subsystem, then the benign-race work counters), direction
+// letters and the bottom-up probe column, and reset() keeping the steps vector's capacity — the warm-engine
 // stats-collection contract.
 #include <gtest/gtest.h>
 
@@ -25,8 +25,8 @@ constexpr const char* kHeader =
     "phase1_imbalance,phase2_imbalance,pbv_bin_skew,hw_valid,hw_cycles,"
     "hw_instructions,hw_llc_loads,hw_llc_load_misses,hw_dtlb_load_misses,"
     "hw_branch_misses,hw_stalled_backend,hw_sw_task_clock_ns,"
-    "hw_sw_page_faults";
-constexpr unsigned kColumns = 23;
+    "hw_sw_page_faults,race_probes,dup_emissions";
+constexpr unsigned kColumns = 25;
 
 std::vector<std::string> split_lines(const std::string& s) {
   std::vector<std::string> lines;
@@ -55,6 +55,8 @@ TEST(RunStatsCsv, HeaderAndRowShape) {
   td.phase2_seconds = 0.5;
   td.rearrange_seconds = 0.125;
   td.pbv_bin_skew = 1.5;
+  td.race_probes = 5;
+  td.dup_emissions = 3;
   StepStats bu;
   bu.step = 2;
   bu.direction = StepDirection::kBottomUp;
@@ -86,6 +88,8 @@ TEST(RunStatsCsv, HeaderAndRowShape) {
   EXPECT_EQ(row_td[12], "1.5");     // pbv_bin_skew
   EXPECT_EQ(row_td[13], "0");       // hw_valid: no counters harvested
   EXPECT_EQ(row_td[14], "0");       // hw_cycles stays zero when invalid
+  EXPECT_EQ(row_td[23], "5");       // race_probes
+  EXPECT_EQ(row_td[24], "3");       // dup_emissions
 
   const std::vector<std::string> row_bu = split_fields(lines[2]);
   ASSERT_EQ(row_bu.size(), kColumns);
@@ -97,6 +101,7 @@ TEST(RunStatsCsv, HeaderAndRowShape) {
   EXPECT_EQ(row_bu[13], "1");       // hw_valid
   EXPECT_EQ(row_bu[14], "1000");    // hw_cycles
   EXPECT_EQ(row_bu[17], "42");      // hw_llc_load_misses
+  EXPECT_EQ(row_bu[24], "0");       // owner-computes BU never duplicates
 }
 
 TEST(RunStatsCsv, RealRunMatchesDirectionLog) {
@@ -143,6 +148,8 @@ TEST(RunStats, ResetZeroesCountersAndKeepsCapacity) {
   stats.alpha_adj = 0.6;
   stats.direction_switches = 2;
   stats.bottom_up_probes = 99;
+  stats.race_probes = 7;
+  stats.dup_emissions = 5;
   stats.steps.resize(24);
   const std::size_t cap = stats.steps.capacity();
   ASSERT_GE(cap, 24u);
@@ -156,6 +163,8 @@ TEST(RunStats, ResetZeroesCountersAndKeepsCapacity) {
   EXPECT_EQ(stats.alpha_adj, 0.0);
   EXPECT_EQ(stats.direction_switches, 0u);
   EXPECT_EQ(stats.bottom_up_probes, 0u);
+  EXPECT_EQ(stats.race_probes, 0u);
+  EXPECT_EQ(stats.dup_emissions, 0u);
   EXPECT_EQ(stats.traffic.total_bytes(), 0u);
   EXPECT_TRUE(stats.steps.empty());
   EXPECT_EQ(stats.steps.capacity(), cap)

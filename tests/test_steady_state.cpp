@@ -347,9 +347,16 @@ TEST(SteadyState, WarmRunsMatchFreshEngines) {
     // The local/remote *split* is intentionally not compared: which
     // consumer of a shared PBV bin wins a child's VIS test varies run to
     // run (the paper's benign race), moving that child's accounting
-    // between threads. The per-phase byte totals are conserved across
-    // race outcomes, so the aggregate still pins the traffic audit.
-    EXPECT_EQ(ws.traffic.total_bytes(), fs.traffic.total_bytes());
+    // between threads. Nor is the raw byte total: every race loser still
+    // moves its 8 B DP probe (race_probes) and, when the dedup drops its
+    // BV_N append, 4 B more (dup_emissions) — bytes a winner-only
+    // schedule never moves. Less those, every byte follows from the BFS
+    // levels alone, so that remainder pins the traffic audit exactly.
+    const auto level_bytes = [](const RunStats& s) {
+      return s.traffic.total_bytes() - 8 * s.race_probes -
+             4 * s.dup_emissions;
+    };
+    EXPECT_EQ(level_bytes(ws), level_bytes(fs));
 
     const ValidationReport report = validate_bfs_tree(g, out);
     EXPECT_TRUE(report.ok) << report.error;

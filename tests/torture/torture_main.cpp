@@ -4,7 +4,8 @@
 // (FASTBFS_CHAOS build of src/core) across engine configurations x VIS
 // schemes x direction modes x adversarial topologies, and checks every
 // run against the serial oracle, the Graph500-style tree validator and
-// the VIS audit. The checks are deliberately the *same* for clean and
+// the VIS audit, and the logical counters (frontier sizes and
+// edges_traversed) against the visited set. The checks are deliberately the *same* for clean and
 // mutated engines: the mutation-smoke tests prove this exact pipeline
 // flags a broken DP re-check and a dropped VIS store, so a clean sweep
 // means something.
@@ -228,7 +229,7 @@ struct SweepStats {
   std::uint64_t runs = 0;
   std::uint64_t injected = 0;        // chaos actions performed
   std::uint64_t benign_missing = 0;  // lost VIS bits in lossy modes
-  std::uint64_t benign_dups = 0;     // same-step double discoveries
+  std::uint64_t dup_emissions = 0;   // same-step double claims dropped
 };
 
 chaos::Config sweep_config(std::uint64_t seed) {
@@ -282,17 +283,32 @@ std::string check_run(const TortureGraph& tg, const BfsRunner& runner,
     }
     stats->benign_missing += audit.missing;
   }
-  // Same-step double discoveries are *legal* (two threads can pass the
-  // same VIS test before either set lands; the DP re-check window is not
-  // closed within a step, depths agree either way) — tracked as a
-  // statistic, not an invariant.
+  // Same-step double claims are *legal* (two threads can pass the same
+  // VIS test before either set lands; depths agree either way), but the
+  // claim dedup keeps each claimed child in one BV_N, so the logical
+  // counters are exact in every schedule: each visited vertex enters one
+  // frontier and contributes its degree to edges_traversed once. The
+  // dropped duplicates are tallied as a statistic.
+  const RunStats& rs = runner.last_run_stats();
   std::uint64_t entered = 0;
-  for (const StepStats& st : runner.last_run_stats().steps) {
-    entered += st.frontier_size;
+  for (const StepStats& st : rs.steps) entered += st.frontier_size;
+  if (entered != r.vertices_visited) {
+    fail << "frontier sizes sum to " << entered << ", but "
+         << r.vertices_visited << " vertices were visited ("
+         << rs.direction_string() << ")";
+    return fail.str();
   }
-  if (entered > r.vertices_visited) {
-    stats->benign_dups += entered - r.vertices_visited;
+  std::uint64_t visited_degrees = 0;
+  for (vid_t v = 0; v < tg.graph.n_vertices(); ++v) {
+    if (r.dp.visited(v)) visited_degrees += tg.graph.degree(v);
   }
+  if (r.edges_traversed != visited_degrees) {
+    fail << "edges_traversed " << r.edges_traversed
+         << " != degree sum of the visited vertices " << visited_degrees
+         << " (" << rs.direction_string() << ")";
+    return fail.str();
+  }
+  stats->dup_emissions += rs.dup_emissions;
   return {};
 }
 
@@ -627,8 +643,8 @@ TEST(Torture, CleanEngineSurvivesPerturbedSchedules) {
   }
   std::cout << "[torture] " << stats.runs << " perturbed schedules, "
             << stats.injected << " injected events, " << stats.benign_missing
-            << " benign lost VIS bits, " << stats.benign_dups
-            << " benign duplicate discoveries\n";
+            << " benign lost VIS bits, " << stats.dup_emissions
+            << " duplicate emissions dropped by the claim dedup\n";
   const std::uint64_t missing =
       reg.counter("fastbfs_vis_missing_total")->value() - missing0;
   std::cout << "[torture] metrics registry: "
