@@ -63,6 +63,22 @@ void DivisionPlan::clear(unsigned n_threads, unsigned n_sockets) {
   total_items = 0;
 }
 
+void DivisionPlan::reserve_shape(unsigned n_threads, unsigned n_sockets,
+                                 unsigned n_src, unsigned n_bins) {
+  clear(n_threads, n_sockets);
+  // Deterministic slice capacity. Every scheme hands each thread at most
+  // one contiguous range per bin, and emit_slices cuts a range into at
+  // most one slice per source, so a thread can never hold more than
+  // n_src * n_bins slices. Reserving that bound once per shape makes every
+  // later refill allocation-free no matter how the race-dependent counts
+  // redistribute items between threads — a fluctuating per-thread slice
+  // count must otherwise eventually push_back past a warm capacity.
+  const std::size_t max_slices = static_cast<std::size_t>(n_src) * n_bins;
+  for (auto& slices : per_thread) {
+    if (slices.capacity() < max_slices) slices.reserve(max_slices);
+  }
+}
+
 void divide_bins_into(std::span<const std::uint32_t> counts, unsigned n_src,
                       unsigned n_bins, const SocketTopology& topo,
                       SocketScheme scheme, DivisionPlan& plan) {
@@ -73,19 +89,7 @@ void divide_bins_into(std::span<const std::uint32_t> counts, unsigned n_src,
   const unsigned n_threads = topo.n_threads();
   const unsigned n_sockets = topo.n_sockets();
 
-  plan.clear(n_threads, n_sockets);
-
-  // Deterministic slice capacity. Every scheme hands each thread at most
-  // one contiguous range per bin, and emit_slices cuts a range into at
-  // most one slice per source, so a thread can never hold more than
-  // n_src * n_bins slices. Reserving that bound once per shape makes every
-  // later refill allocation-free no matter how the race-dependent counts
-  // redistribute items between threads — a fluctuating per-thread slice
-  // count must otherwise eventually push_back past a warm capacity.
-  const std::size_t max_slices = static_cast<std::size_t>(n_src) * n_bins;
-  for (auto& slices : plan.per_thread) {
-    if (slices.capacity() < max_slices) slices.reserve(max_slices);
-  }
+  plan.reserve_shape(n_threads, n_sockets, n_src, n_bins);
 
   std::uint64_t total = 0;
   for (const auto c : counts) total += c;

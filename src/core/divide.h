@@ -55,6 +55,15 @@ struct DivisionPlan {
   /// so a steady-state caller (the engine replans every BFS step) never
   /// reallocates once warm.
   void clear(unsigned n_threads, unsigned n_sockets);
+
+  /// clear()s and reserves every thread's slice list to the n_src * n_bins
+  /// worst case a division of that shape can produce (see
+  /// divide_bins_into). Engines call it at construction so a plan that is
+  /// first built late — the Phase-II plan of a program whose first
+  /// top-down step comes only after many bottom-up runs — does not
+  /// allocate in a warm run.
+  void reserve_shape(unsigned n_threads, unsigned n_sockets, unsigned n_src,
+                     unsigned n_bins);
 };
 
 /// counts is row-major [n_src][n_bins]: items produced by source thread

@@ -224,8 +224,11 @@ class EdgeMapEngine {
     }
     counts_scratch_.resize(static_cast<std::size_t>(opts_.n_threads) *
                            n_bins_);
-    plan1_.clear(opts_.n_threads, opts_.n_sockets);
-    plan2_.clear(opts_.n_threads, opts_.n_sockets);
+    pbv_caps_ = PbvCapTargets(n_bins_);
+    plan1_.reserve_shape(opts_.n_threads, opts_.n_sockets, opts_.n_threads,
+                         n_bins_);
+    plan2_.reserve_shape(opts_.n_threads, opts_.n_sockets, opts_.n_threads,
+                         n_bins_);
     job_ = [this](const ThreadContext& ctx) { worker(ctx); };
   }
 
@@ -288,6 +291,7 @@ class EdgeMapEngine {
     };
     total += plan_bytes(plan1_) + plan_bytes(plan2_);
     total += counts_scratch_.capacity() * sizeof(std::uint32_t);
+    total += pbv_caps_.storage_bytes();
     return total;
   }
 
@@ -304,10 +308,11 @@ class EdgeMapEngine {
     /// the following step's emission count).
     std::uint64_t refill_edges = 0;
 
-    void reset(unsigned n_bins) {
+    void reset(unsigned n_bins, unsigned rearrange_bins) {
       if (pbv.n_bins() != n_bins) pbv = PbvBinSet(n_bins);
       pbv.clear_all();
       pbv_items.assign(n_bins, 0);
+      hist.reserve(rearrange_bins);  // Rearranger::rearrange's histogram
       emit_edges = 0;
       refill_edges = 0;
     }
@@ -357,6 +362,20 @@ class EdgeMapEngine {
                 std::min<std::uint64_t>(lo + 64 * blocks.begin, hi)),
             static_cast<std::size_t>(
                 std::min<std::uint64_t>(lo + 64 * blocks.end, hi))};
+  }
+
+  /// Grows `lane` to at least `n` vertices and the rearrange scratch to
+  /// the lane's capacity. Owner-range appends (dense steps, refills) emit
+  /// each owned vertex at most once, so reserving the whole range makes
+  /// their lane capacity deterministic; and a scratch that follows the
+  /// lanes is already warm when a program's first sparse step comes only
+  /// after many dense-only runs.
+  void reserve_lane(ThreadState& me, VertexSubset::Lane& lane,
+                    std::size_t n) {
+    if (lane.verts.capacity() < n) lane.verts.reserve(n);
+    if (me.scratch.capacity() < lane.verts.capacity()) {
+      me.scratch.reserve(lane.verts.capacity());
+    }
   }
 
   /// Gathers per-lane bin counts of `vs` into counts_scratch_ and refills
@@ -411,6 +430,7 @@ class EdgeMapEngine {
     ThreadState& me = *states_[ctx.thread_id];
     const DivisionPlan& plan = plan1_;
 
+    me.pbv.reserve_at_least(pbv_caps_.caps());  // bins are empty: no copy
     me.pbv.begin_appends();
     svid_t* const* ptrs = me.pbv.bin_ptrs();
     std::uint32_t* cur = me.pbv.cursors();
@@ -468,12 +488,10 @@ class EdgeMapEngine {
     for (const BinSlice& sl : plan.per_thread[ctx.thread_id]) {
       assigned += sl.size();
     }
-    if (out.verts.capacity() < assigned) {
-      out.verts.reserve(std::bit_ceil(assigned + assigned / 8));
-    }
-    if (me.scratch.capacity() < assigned) {
-      me.scratch.reserve(std::bit_ceil(assigned + assigned / 8));
-    }
+    reserve_lane(me, out,
+                 out.verts.capacity() < assigned
+                     ? std::bit_ceil(assigned + assigned / 8)
+                     : 0);
 
     const auto update = [&](vid_t s, vid_t d, unsigned bin) {
       if (!prog_->cond(d)) return;
@@ -526,6 +544,7 @@ class EdgeMapEngine {
     bar.arrive_and_wait();  // dense frontier published
 
     VertexSubset::Lane& out = next_.lane(ctx.thread_id);
+    reserve_lane(me, out, range.size());
     std::uint64_t emit_edges = 0;
     for (vid_t d = static_cast<vid_t>(range.begin);
          d < static_cast<vid_t>(range.end); ++d) {
@@ -560,6 +579,7 @@ class EdgeMapEngine {
     VertexSubset::Lane& lane = cur_.lane(ctx.thread_id);
     lane.clear(n_bins_);
     const Range r = dense_ranges_[ctx.thread_id];
+    reserve_lane(me, lane, r.size());
     std::uint64_t edges = 0;
     for (vid_t v = static_cast<vid_t>(r.begin);
          v < static_cast<vid_t>(r.end); ++v) {
@@ -610,7 +630,11 @@ class EdgeMapEngine {
         // PBV-publication barrier; the completion hook builds the step's
         // single shared Phase-II plan (ThreadPool::publish).
         FASTBFS_CHAOS_POINT(kPbvPublish);
-        pool_.publish([this] { build_plan_from_pbv(plan2_); });
+        pool_.publish([this] {
+          build_plan_from_pbv(plan2_);
+          for (const auto& s : states_) pbv_caps_.add(s->pbv);
+          pbv_caps_.raise(opts_.n_threads);
+        });
         phase2(ctx);
       } else {
         dense_step(ctx);  // internal barriers publish the bitmap
@@ -684,7 +708,7 @@ class EdgeMapEngine {
     stats_.reset();
     final_step_ = 0;
     aborted_ = false;
-    for (auto& s : states_) s->reset(n_bins_);
+    for (auto& s : states_) s->reset(n_bins_, rearranger_.n_bins());
     for (unsigned t = 0; t < opts_.n_threads; ++t) {
       cur_.lane(t).clear(n_bins_);
       next_.lane(t).clear(n_bins_);
@@ -755,6 +779,9 @@ class EdgeMapEngine {
   DivisionPlan plan1_;
   DivisionPlan plan2_;
   std::vector<std::uint32_t> counts_scratch_;
+  // Shared PBV capacities, raised inside the PBV-publication barrier and
+  // reserved by every thread before its next Phase-I (see PbvCapTargets).
+  PbvCapTargets pbv_caps_;
   std::function<void(const ThreadContext&)> job_;  // built once in ctor
 };
 

@@ -211,9 +211,18 @@ MsBfs::MsBfs(const AdjacencyArray& adj, const BfsOptions& opts)
     states_.push_back(std::make_unique<ThreadState>());
   }
   counts_scratch_.resize(static_cast<std::size_t>(opts_.n_threads) * n_bins_);
-  plan1_.clear(opts_.n_threads, opts_.n_sockets);
-  plan2_.clear(opts_.n_threads, opts_.n_sockets);
+  plan1_.reserve_shape(opts_.n_threads, opts_.n_sockets, opts_.n_threads,
+                       n_bins_);
+  plan2_.reserve_shape(opts_.n_threads, opts_.n_sockets, opts_.n_threads,
+                       n_bins_);
   seen_.zero();
+  if (opts_.n_threads > 1) {
+    if (opts_.n_threads > kTagShared) {
+      throw std::invalid_argument(
+          "MsBfs: at most 32768 worker threads (15-bit claim tags)");
+    }
+    claim_tag_.resize(adj.n_vertices());
+  }
   job_ = [this](const ThreadContext& ctx) { worker(ctx); };
 }
 
@@ -318,11 +327,10 @@ void MsBfs::phase2(const ThreadContext& ctx, depth_t step) {
   ThreadState& me = *states_[ctx.thread_id];
 
   // Same warm-capacity discipline as the single-source Phase-II: reserve
-  // the next frontier to the plan-assigned record count. `assigned` is
-  // only *nearly* stable run-to-run — the benign seen[] race moves a few
-  // records between threads — so reserve with a 1/8 head-room band: once
-  // warm, the fluctuation sits inside the band instead of occasionally
-  // landing one record past a power-of-two boundary and re-allocating.
+  // the next frontier to the plan-assigned record count, a hard bound on
+  // this thread's emissions, in bit_ceil buckets with 1/8 head-room. The
+  // plan cuts per-bin record totals, and with the record dedup below
+  // those depend only on the frontier sets, so warm capacities converge.
   std::size_t assigned = 0;
   for (const BinSlice& sl : plan2_.per_thread[ctx.thread_id]) {
     assigned += sl.size();
@@ -333,6 +341,9 @@ void MsBfs::phase2(const ThreadContext& ctx, depth_t step) {
   if (me.bvn_m.capacity() < assigned) {
     me.bvn_m.reserve(std::bit_ceil(assigned + assigned / 8));
   }
+
+  std::uint16_t* const tags = claim_tag_.empty() ? nullptr : claim_tag_.data();
+  const auto self = static_cast<std::uint16_t>(ctx.thread_id);
 
   for (const BinSlice& sl : plan2_.per_thread[ctx.thread_id]) {
     ThreadState& src = *states_[sl.src];
@@ -371,6 +382,10 @@ void MsBfs::phase2(const ThreadContext& ctx, depth_t step) {
         // bin-grouped (the layout compute_bvc_offsets assumes).
         source_mask_t& acc = me.agg[w];
         if (acc == 0) {
+          if (tags) {
+            std::atomic_ref<std::uint16_t>(tags[w]).store(
+                self, std::memory_order_relaxed);
+          }
           me.bvn_v.push_back(w);
           ++me.bvn_counts[bin];
         }
@@ -385,6 +400,50 @@ void MsBfs::phase2(const ThreadContext& ctx, depth_t step) {
     const vid_t w = me.bvn_v[j];
     me.bvn_m[j] = me.agg[w];
     me.agg[w] = 0;
+  }
+
+  if (tags) {
+    FASTBFS_CHAOS_POINT(kBarrierArrive);
+    pool_.barrier().arrive_and_wait();  // every claim tag is final
+    drop_lost_records(ctx, me);
+  }
+}
+
+void MsBfs::drop_lost_records(const ThreadContext& ctx, ThreadState& me) {
+  // Every emitter of w tagged it before the barrier, so all threads read
+  // the same owner id; a loser's flag store keeps those low bits. The
+  // compaction keeps bvn_v bin-grouped.
+  const auto self = static_cast<std::uint16_t>(ctx.thread_id);
+  std::size_t kept = 0;
+  for (std::size_t j = 0; j < me.bvn_v.size(); ++j) {
+    const vid_t w = me.bvn_v[j];
+    std::atomic_ref<std::uint16_t> tag(claim_tag_[w]);
+    const std::uint16_t t = tag.load(std::memory_order_relaxed);
+    if ((t & ~kTagShared) == self) {
+      me.bvn_v[kept] = w;
+      me.bvn_m[kept] = me.bvn_m[j];
+      ++kept;
+    } else {
+      --me.bvn_counts[bin_of(w)];
+      tag.store(t | kTagShared, std::memory_order_relaxed);
+    }
+  }
+  me.bvn_v.resize(kept);  // shrinking never reallocates
+  me.bvn_m.resize(kept);
+}
+
+void MsBfs::merge_flagged_masks(ThreadState& me, depth_t step) {
+  // No DP store or tag store is in flight here (between the end-of-step
+  // barriers and the next Phase-I), and only w's owner touches its tag.
+  for (std::size_t j = 0; j < me.bvc_v.size(); ++j) {
+    const vid_t w = me.bvc_v[j];
+    if ((claim_tag_[w] & kTagShared) == 0) continue;
+    claim_tag_[w] &= static_cast<std::uint16_t>(~kTagShared);
+    source_mask_t m = 0;
+    for (unsigned s = 0; s < wave_sources_; ++s) {
+      if (dp_[s]->depth(w) == step) m |= source_mask_t{1} << s;
+    }
+    me.bvc_m[j] = m;
   }
 }
 
@@ -452,6 +511,7 @@ void MsBfs::worker(const ThreadContext& ctx) {
     std::swap(me.bvc_m, me.bvn_m);
     me.bvn_v.clear();
     me.bvn_m.clear();
+    if (!claim_tag_.empty()) merge_flagged_masks(me, step);
     std::swap(me.bvc_counts, me.bvn_counts);
     std::fill(me.bvn_counts.begin(), me.bvn_counts.end(), 0);
     me.compute_bvc_offsets();

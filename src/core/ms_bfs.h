@@ -114,6 +114,13 @@ class MsBfs {
   /// depth-0 entry, set its seen bit, and append the (root, mask) seeds —
   /// bin-grouped — to the first thread of each root's owning socket.
   void seed_wave();
+  /// After the claim-tag barrier: keeps the records this thread tagged
+  /// last, drops the rest and flags their vertices (see claim_tag_).
+  void drop_lost_records(const ThreadContext& ctx, ThreadState& me);
+  /// Before the next Phase-I: rebuilds the mask of every kept record whose
+  /// vertex another thread also emitted, as the exact set of sources that
+  /// reached it this step (per-source DP depth == step).
+  void merge_flagged_masks(ThreadState& me, depth_t step);
   void build_shared_plan(std::vector<std::uint32_t> ThreadState::* counts,
                          DivisionPlan& plan);
 
@@ -138,6 +145,17 @@ class MsBfs {
   /// DP re-check in Phase-II repairs every loss, so no LOCK prefix ever
   /// executes on the hot path.
   AlignedBuffer<source_mask_t> seen_;
+
+  /// claim_tag_[v]: the id of the thread that last emitted v as a
+  /// next-frontier record this step (relaxed 2-byte store, no LOCK), plus
+  /// kTagShared once another emitter dropped its record of v. Two threads
+  /// claiming different sources of v each emit a (v, mask) record; the
+  /// dedup keeps the last tagger's and widens its mask to the union, so v
+  /// enters the next frontier once with every source that reached it. The
+  /// next step's work then depends only on the frontier sets, not on the
+  /// race outcome. Empty with one thread.
+  std::vector<std::uint16_t> claim_tag_;
+  static constexpr std::uint16_t kTagShared = 0x8000;
 
   // Per-wave wiring (set by run_wave, read by the SPMD workers).
   std::array<DepthParent*, kMsWaveWidth> dp_{};  // caller-owned, per source

@@ -1,6 +1,8 @@
 #include "core/pbv.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "simd/dispatch.h"
 
@@ -11,14 +13,22 @@ void PbvBin::reserve_extra(std::uint32_t current, std::uint32_t extra) {
   if (need <= buf_.size()) return;
   std::uint64_t cap = std::max<std::uint64_t>(buf_.size() * 2, 1024);
   cap = std::max(cap, need);
+  grow_to(static_cast<std::uint32_t>(cap), current);
+}
+
+void PbvBin::reserve(std::uint32_t cap) {
+  if (cap > buf_.size()) grow_to(cap, size_);
+}
+
+void PbvBin::grow_to(std::uint32_t cap, std::uint32_t keep) {
   AlignedBuffer<svid_t> grown(cap, kCacheLine);
-  if (current != 0) {
+  if (keep != 0) {
     // Sequential once-written growth copy: route through the resolved
     // streaming kernel (non-temporal above its threshold) so a large bin
     // grow does not cycle the LLC mid-phase.
     stream_copy_u32(reinterpret_cast<std::uint32_t*>(grown.data()),
                     reinterpret_cast<const std::uint32_t*>(buf_.data()),
-                    current);
+                    keep);
   }
   buf_ = std::move(grown);
 }
@@ -59,10 +69,32 @@ std::uint64_t PbvBinSet::total_entries() const {
   return total;
 }
 
+void PbvBinSet::reserve_at_least(const std::vector<std::uint32_t>& caps) {
+  for (unsigned b = 0; b < bins_.size(); ++b) bins_[b].reserve(caps[b]);
+}
+
 std::uint64_t PbvBinSet::capacity_bytes() const {
   std::uint64_t total = 0;
   for (const auto& b : bins_) total += b.capacity() * sizeof(svid_t);
   return total;
+}
+
+void PbvCapTargets::add(const PbvBinSet& set) {
+  for (unsigned b = 0; b < caps_.size(); ++b) {
+    fill_[b] += set.bin(b).size();
+    caps_[b] = std::max(caps_[b], set.bin(b).capacity());
+  }
+}
+
+void PbvCapTargets::raise(unsigned n_threads) {
+  constexpr std::uint64_t kMaxCap = std::uint64_t{1} << 31;
+  for (unsigned b = 0; b < caps_.size(); ++b) {
+    const std::uint64_t share = (fill_[b] + n_threads - 1) / n_threads;
+    fill_[b] = 0;
+    if (share == 0) continue;
+    const std::uint64_t want = std::min(std::bit_ceil(2 * share), kMaxCap);
+    caps_[b] = std::max(caps_[b], static_cast<std::uint32_t>(want));
+  }
 }
 
 }  // namespace fastbfs

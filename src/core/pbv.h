@@ -45,7 +45,14 @@ class PbvBin {
   /// growth, contents preserved).
   void reserve_extra(std::uint32_t current, std::uint32_t extra);
 
+  /// Grows the backing store to exactly `cap` entries if it holds fewer
+  /// (the first size() entries are preserved); never shrinks.
+  void reserve(std::uint32_t cap);
+
  private:
+  /// Reallocates to `cap` entries, copying the first `keep`.
+  void grow_to(std::uint32_t cap, std::uint32_t keep);
+
   AlignedBuffer<svid_t> buf_;
   std::uint32_t size_ = 0;
 };
@@ -80,6 +87,10 @@ class PbvBinSet {
 
   std::uint64_t total_entries() const;
 
+  /// Grows every bin b to at least caps[b] entries. Outside a
+  /// begin_appends/commit_appends window only.
+  void reserve_at_least(const std::vector<std::uint32_t>& caps);
+
   /// Bytes of backing storage across all bins (capacities, not sizes).
   /// Feeds the engine's workspace_bytes() steady-state audit: once warm,
   /// this plateaus — repeated runs reuse, never regrow, the bins.
@@ -92,6 +103,40 @@ class PbvBinSet {
   std::vector<svid_t*> bin_ptrs_;
   std::vector<std::uint32_t> cursors_;
   std::vector<std::uint32_t> caps_;
+};
+
+/// Per-bin PBV capacity targets shared by a team of PbvBinSets, one set
+/// per worker thread. Which thread holds which frontier vertex follows the
+/// race-dependent claim distribution, so a thread's share of a bin moves
+/// from run to run by whole vertex degrees; sizing each set by its own
+/// high-water mark keeps it creeping whenever a rarely heavy share first
+/// lands on some thread. The targets instead follow each bin's total over
+/// all threads, which the traversal fixes: twice the mean per-thread
+/// share, bucketed to a power of two, and never below any thread's
+/// capacity. Every set reserves the targets before its next Phase-I, so
+/// they are fixed once each root has been run; only a share above twice
+/// the mean still regrows a bin, and then lifts every thread's at once.
+class PbvCapTargets {
+ public:
+  PbvCapTargets() = default;
+  explicit PbvCapTargets(unsigned n_bins) : caps_(n_bins, 0), fill_(n_bins, 0) {}
+
+  /// Folds one thread's committed bins in. Call for every thread's set,
+  /// then raise(), from one thread inside a barrier window.
+  void add(const PbvBinSet& set);
+
+  /// Raises the targets from the sets added since the last call.
+  void raise(unsigned n_threads);
+
+  const std::vector<std::uint32_t>& caps() const { return caps_; }
+  std::uint64_t storage_bytes() const {
+    return caps_.capacity() * sizeof(std::uint32_t) +
+           fill_.capacity() * sizeof(std::uint64_t);
+  }
+
+ private:
+  std::vector<std::uint32_t> caps_;  // entries per bin, per thread
+  std::vector<std::uint64_t> fill_;  // entries per bin, summed over threads
 };
 
 /// Decodes a marker-encoded slice [begin, end) of one bin, invoking

@@ -270,9 +270,12 @@ TwoPhaseBfs::TwoPhaseBfs(const AdjacencyArray& adj, const BfsOptions& opts)
   // engine and are refilled in place every step, and the SPMD job closure
   // is built once so repeated runs construct no std::function.
   counts_scratch_.resize(static_cast<std::size_t>(opts_.n_threads) * n_bins_);
+  pbv_caps_ = PbvCapTargets(n_bins_);
   adj_by_socket_scratch_.resize(opts_.n_sockets);
-  plan1_.clear(opts_.n_threads, opts_.n_sockets);
-  plan2_.clear(opts_.n_threads, opts_.n_sockets);
+  plan1_.reserve_shape(opts_.n_threads, opts_.n_sockets, opts_.n_threads,
+                       n_bins_);
+  plan2_.reserve_shape(opts_.n_threads, opts_.n_sockets, opts_.n_threads,
+                       n_bins_);
   job_ = [this](const ThreadContext& ctx) { worker(ctx); };
   base_tuning_ =
       StepTuning{opts_.use_prefetch, opts_.prefetch_distance};
@@ -341,6 +344,7 @@ void TwoPhaseBfs::phase1(const ThreadContext& ctx, depth_t /*step*/) {
     cur.phase1_imbalance = plan.socket_imbalance();
   }
 
+  me.pbv.reserve_at_least(pbv_caps_.caps());  // bins are empty: no copy
   me.pbv.begin_appends();
   svid_t* const* ptrs = me.pbv.bin_ptrs();
   std::uint32_t* cur = me.pbv.cursors();
@@ -729,6 +733,8 @@ void TwoPhaseBfs::worker(const ThreadContext& ctx) {
       FASTBFS_CHAOS_POINT(kPbvPublish);
       pool_.publish([this] {
         build_shared_plan(&ThreadState::pbv_items, plan2_);
+        for (const auto& s : states_) pbv_caps_.add(s->pbv);
+        pbv_caps_.raise(opts_.n_threads);
       });
       if (ctx.thread_id == 0) {
         p1 = timer.seconds();  // includes the shared plan-2 build
@@ -1122,6 +1128,7 @@ std::uint64_t TwoPhaseBfs::workspace_bytes() const {
   };
   total += plan_bytes(plan1_) + plan_bytes(plan2_);
   total += counts_scratch_.capacity() * sizeof(std::uint32_t);
+  total += pbv_caps_.storage_bytes();
   // dp_ is empty between runs: the depth/parent buffer lives in the
   // caller's BfsResult, which run_into recycles.
   total += dp_.size() * sizeof(std::uint64_t);

@@ -379,6 +379,10 @@ class TwoPhaseBfs {
   DivisionPlan plan1_;
   DivisionPlan plan2_;
   std::vector<std::uint32_t> counts_scratch_;      // [n_threads][n_bins]
+
+  // Shared PBV capacities, raised inside the PBV-publication barrier and
+  // reserved by every thread before its next Phase-I (see PbvCapTargets).
+  PbvCapTargets pbv_caps_;
   std::vector<std::uint64_t> adj_by_socket_scratch_;
 
   // Hardware-counter harvest (obs/perf): the global per-(kind, step)
